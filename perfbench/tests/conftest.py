@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+SRC = BENCH_DIR.parent / "src"
+
+sys.path.insert(0, str(BENCH_DIR))
