@@ -294,12 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for sampled operations (accepted everywhere for uniformity)",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser(
@@ -365,6 +359,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (McfgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # exit 1 means a clean negative answer, so a crash must not end with it;
+        # traceback is imported here to keep it out of every normal run's memory
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

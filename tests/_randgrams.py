@@ -61,8 +61,12 @@ def _pool(rng: random.Random, extra_chance: float) -> list[NonTerminal]:
     return pool
 
 
-def random_grammar(rng: random.Random, max_rules: int = 4) -> MCFG:
-    """A valid non-deleting grammar with at most ``max_rules`` rules."""
+def random_grammar(rng: random.Random, max_rules: int = 4, max_children: int = 2) -> MCFG:
+    """A valid non-deleting grammar with at most ``max_rules`` rules.
+
+    Non-terminating rules get between one and ``max_children`` right-hand
+    side entries.
+    """
     normal = rng.random() < 0.5
     alphabet = LETTERS[: rng.randint(1, 3)]
     pool = _pool(rng, extra_chance=0.5)
@@ -74,20 +78,24 @@ def random_grammar(rng: random.Random, max_rules: int = 4) -> MCFG:
         if rng.random() < 0.4:
             rules.append(_random_terminating(rng, lhs, alphabet, normal))
         else:
-            rhs = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+            rhs = tuple(rng.choice(pool) for _ in range(rng.randint(1, max_children)))
             rules.append(_random_nonterminating(rng, lhs, rhs, alphabet, normal))
     return MCFG.from_rules(tuple(rules), start=start, alphabet=alphabet)
 
 
-def random_productive_grammar(rng: random.Random) -> MCFG:
-    """A valid non-deleting grammar where every non-terminal can terminate."""
+def random_productive_grammar(rng: random.Random, max_children: int = 2) -> MCFG:
+    """A valid non-deleting grammar where every non-terminal can terminate.
+
+    Non-terminating rules get between one and ``max_children`` right-hand
+    side entries.
+    """
     normal = rng.random() < 0.5
     alphabet = LETTERS[: rng.randint(1, 3)]
     pool = _pool(rng, extra_chance=0.7)
     rules = [_random_terminating(rng, nt, alphabet, normal) for nt in pool]
     for _ in range(rng.randint(2, 4)):
         lhs = rng.choice(pool)
-        rhs = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+        rhs = tuple(rng.choice(pool) for _ in range(rng.randint(1, max_children)))
         rules.append(_random_nonterminating(rng, lhs, rhs, alphabet, normal))
     return MCFG.from_rules(tuple(rules), start=pool[0], alphabet=alphabet)
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mcfgkit import build_grammar, chain, deleting_grammar, overgenerating_block_grammar
+from mcfgkit import cli
 from mcfgkit.cli import main
 from mcfgkit.formats import format_grammar, format_preorder
 
@@ -199,6 +200,17 @@ def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/g.mcfg")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_internal_errors_exit_2(write, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_recognize", crash)
+    path = write("g.mcfg", CHAIN2_GRAMMAR)
+    code, out, err = run(capsys, "recognize", path, "a1")
+    assert (code, out) == (2, "")
+    assert "internal error: RuntimeError: boom" in err
 
 
 def test_syntax_errors_carry_positions(write, capsys):

@@ -1,5 +1,6 @@
 """Recogniser tests, cross-checked against bounded enumeration."""
 
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from mcfgkit import (
     discrete,
     enumerate_language,
     balanced_pair_grammar,
+    DerivationTree,
     parse,
     recognize,
     term_of,
@@ -75,6 +77,29 @@ def test_balanced_pairs_need_rank_two():
     assert not recognize(grammar, ("b", "a"))
 
 
+def test_balanced_pairs_parse_to_the_nested_tree():
+    grammar = balanced_pair_grammar()
+    collect, grow, pair, left, right = grammar.rules
+    inner = DerivationTree(
+        grow, (DerivationTree(pair), DerivationTree(left), DerivationTree(right))
+    )
+    outer = DerivationTree(grow, (inner, DerivationTree(left), DerivationTree(right)))
+    assert parse(grammar, ("a", "a", "a", "b", "b", "b")) == DerivationTree(collect, (outer,))
+
+
+def test_recognize_and_parse_leave_no_cyclic_garbage(two_block_grammar):
+    word = ("a1",) * 20 + ("a2",) * 15
+    gc.collect()
+    gc.disable()
+    try:
+        assert recognize(two_block_grammar, word)
+        assert gc.collect() == 0
+        assert parse(two_block_grammar, word) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_foreign_letters_are_an_error(two_block_grammar):
     with pytest.raises(ForeignLetterError):
         recognize(two_block_grammar, ("a1", "z"))
@@ -103,8 +128,17 @@ def test_agrees_with_enumeration_on_a_vee_order():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=60)
 def test_agrees_with_enumeration_on_random_grammars(seed):
-    rng = random.Random(seed)
-    grammar = random_grammar(rng)
+    _agrees_with_enumeration(random_grammar(random.Random(seed)))
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=60)
+def test_agrees_with_enumeration_on_random_grammars_with_three_children(seed):
+    # with three children, a slot can be looked up from another non-trigger slot
+    _agrees_with_enumeration(random_grammar(random.Random(seed), max_children=3))
+
+
+def _agrees_with_enumeration(grammar):
     language = enumerate_language(grammar, 3)
     for length in range(4):
         for word in _words(grammar.alphabet, length):
