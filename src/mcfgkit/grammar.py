@@ -20,7 +20,7 @@ normal-form and non-deletion predicates, and the grammar's dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RuleApplicationError
 
@@ -48,7 +48,7 @@ class Variable:
         return f"${self.child}.{self.component}"
 
 
-PatternItem = Union[Letter, Variable]
+PatternItem = Letter | Variable
 Pattern = tuple[PatternItem, ...]
 
 

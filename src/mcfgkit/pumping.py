@@ -11,9 +11,11 @@ For non-deleting grammars the letter counts move by exactly the difference
 between the outer and the inner subtree's counts — one swap down subtracts
 it, one swap up adds it.  :func:`delta_report` computes that difference and
 cross-checks it against the actual swapped trees; :func:`pump_experiment`
-runs the whole cycle for a word: parse, enumerate sites, swap both ways,
-re-test the yields against the grammar and against an order-constrained
-block language.
+runs the whole cycle for a word: parse, enumerate sites, swap both ways, and
+test the swapped yields against the grammar and against an order-constrained
+block language.  The grammar verdict comes from the swapped tree itself: a
+valid derivation tree rooted at the start symbol derives its yield, so no
+yield is parsed again.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from .derivation import (
     nodes,
     subtree_at,
     substitute_subtree,
+    validate_tree,
     yield_of,
 )
 from .errors import WordRejectedError
 from .grammar import MCFG, ProductionRule, Word
 from .preorders import Preorder, canonical_alphabet, member
-from .recognizer import parse, recognize
+from .recognizer import parse
 
 
 def combiners(grammar: MCFG) -> list[ProductionRule]:
@@ -183,7 +186,12 @@ def delta_report(
 
 @dataclass
 class SiteResult:
-    """Everything measured at one pump site of one derivation tree."""
+    """Everything measured at one pump site of one derivation tree.
+
+    ``down_in_grammar`` and ``up_in_grammar`` say whether the swapped tree is
+    a valid derivation tree of the grammar rooted at its start symbol, which
+    makes its yield a word of the grammar's language.
+    """
 
     site: PumpSite
     delta: DeltaReport
@@ -215,11 +223,19 @@ class ExperimentReport:
         ]
 
 
-def pump_experiment(grammar: MCFG, preorder: Preorder, word: Word) -> ExperimentReport:
-    """Parse, swap at every site both ways, and re-test the swapped yields.
+def _derives_from_start(grammar: MCFG, tree: DerivationTree) -> bool:
+    """Whether the tree is a valid derivation tree of the grammar for its start symbol."""
+    return validate_tree(tree, grammar)[0] and tree.rule.lhs == grammar.start
 
-    The grammar's alphabet is aligned positionally with the order's indices,
-    so it must have exactly ``preorder.size`` letters.  Raises
+
+def pump_experiment(grammar: MCFG, preorder: Preorder, word: Word) -> ExperimentReport:
+    """Parse, swap at every site both ways, and test the swapped yields.
+
+    A swapped yield is in the grammar's language when its swapped tree is a
+    valid derivation tree rooted at the start symbol; the tree is checked
+    with :func:`validate_tree`, and the yield is not parsed again.  The
+    grammar's alphabet is aligned positionally with the order's indices, so
+    it must have exactly ``preorder.size`` letters.  Raises
     :class:`WordRejectedError` when the grammar does not derive the word.
     """
     word = tuple(word)
@@ -236,16 +252,18 @@ def pump_experiment(grammar: MCFG, preorder: Preorder, word: Word) -> Experiment
     results: list[SiteResult] = []
     for site in find_pump_sites(tree):
         delta = delta_report(tree, site, preorder, alphabet=grammar.alphabet)
-        down_yield = yield_of(pump_down(tree, site))
-        up_yield = yield_of(pump_up(tree, site))
+        down = pump_down(tree, site)
+        up = pump_up(tree, site)
+        down_yield = yield_of(down)
+        up_yield = yield_of(up)
         results.append(
             SiteResult(
                 site,
                 delta,
                 down_yield,
                 up_yield,
-                recognize(grammar, down_yield),
-                recognize(grammar, up_yield),
+                _derives_from_start(grammar, down),
+                _derives_from_start(grammar, up),
                 member(preorder, down_yield, grammar.alphabet),
                 member(preorder, up_yield, grammar.alphabet),
             )

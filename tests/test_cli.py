@@ -1,10 +1,18 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from mcfgkit import build_grammar, chain, deleting_grammar, overgenerating_block_grammar
+from mcfgkit import (
+    balanced_pair_grammar,
+    build_grammar,
+    chain,
+    deleting_grammar,
+    overgenerating_block_grammar,
+    single_letter_pump_grammar,
+)
 from mcfgkit import cli
 from mcfgkit.cli import main
 from mcfgkit.formats import format_grammar, format_preorder
@@ -191,6 +199,42 @@ def test_pump_rejected_word_is_an_error(write, capsys):
     code, _, err = run(capsys, "pump", grammar, order, "a2 a1")
     assert code == 2
     assert err.startswith("error:")
+
+
+# sha256 of the stdout of `mcfg pump g.mcfg p.ord WORD --json`, which pins every
+# site, delta and verdict byte for byte
+PUMP_JSON_DIGESTS = [
+    (
+        overgenerating_block_grammar,
+        "a1 a1 a1 a1 a1 a1 a2 a2 a2 a2 a2 a2 a3 a3 a3",
+        3,
+        "8ebaf02475a602b27595de6306e7335b68fce4ccdcceb7a1fa5c16e7bd9692ea",
+    ),
+    (
+        single_letter_pump_grammar,
+        "a a a a a a a a a",
+        28,
+        "7d818274cd0ebf2b86edb5be31684c866d84383c62aba198d2cca5f1bbfdea67",
+    ),
+    (
+        balanced_pair_grammar,
+        "a a a a a b b b b b",
+        6,
+        "a70fc80d891c497a77ca6309a0bf9c3ffd20545ac5394444cdfffac090c602a6",
+    ),
+]
+
+
+@pytest.mark.parametrize("sample, word, sites, digest", PUMP_JSON_DIGESTS)
+def test_pump_json_is_pinned(sample, word, sites, digest, tmp_path, monkeypatch, capsys):
+    grammar = sample()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.mcfg").write_text(format_grammar(grammar))
+    (tmp_path / "p.ord").write_text(format_preorder(chain(len(grammar.alphabet))))
+    code, out, _ = run(capsys, "pump", "g.mcfg", "p.ord", word, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["site_count"] == sites
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- error handling and stability -------------------------------------------

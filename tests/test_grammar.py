@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mcfgkit
 from mcfgkit import (
     MCFG,
     NonTerminal,
@@ -251,3 +255,34 @@ def test_apply_rule_letter_accounting(seed):
     assert len(out.components) == rule.lhs.rank
     # non-deleting grammars never shrink their children away
     assert out.total_length() >= sum(c.total_length() for c in children)
+
+
+# Imports mcfgkit afresh five times and prints how many of the first import's
+# classes are still alive.  A fresh process keeps this test's classes alone.
+REIMPORT_PROBE = """
+import gc, importlib, sys, weakref
+
+sys.path.insert(0, sys.argv[1])
+
+def fresh():
+    for name in [n for n in sys.modules if n == "mcfgkit" or n.startswith("mcfgkit.")]:
+        del sys.modules[name]
+    return importlib.import_module("mcfgkit")
+
+first = fresh()
+refs = [weakref.ref(first.MCFG), weakref.ref(first.Variable)]
+del first
+for _ in range(5):
+    fresh()
+gc.collect()
+print(sum(ref() is not None for ref in refs))
+"""
+
+
+def test_reimported_modules_are_freed():
+    source = str(Path(mcfgkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", REIMPORT_PROBE, source], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

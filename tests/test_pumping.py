@@ -25,6 +25,7 @@ from mcfgkit import (
     pump_down,
     pump_experiment,
     pump_up,
+    recognize,
     single_letter_pump_grammar,
     site_forcing_size,
     term_of,
@@ -239,3 +240,21 @@ def test_long_yields_force_a_site_in_normal_form(seed):
     tree = grow_tree(grammar, grammar.start, rng, depth=6)
     if len(yield_of(tree)) > site_forcing_size(grammar):
         assert find_pump_sites(tree)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=20)
+def test_swapped_tree_validity_agrees_with_the_recognizer(seed):
+    rng = random.Random(seed)
+    # on some random grammars with rank-2 non-terminals the recognizer's time
+    # grows about 3x per letter (2.4 s at 7 letters), so no yield exceeds 5
+    while True:
+        grammar = random_productive_grammar(rng)
+        word = yield_of(grow_tree(grammar, grammar.start, rng, depth=3))
+        if len(word) <= 4:
+            report = pump_experiment(grammar, chain(len(grammar.alphabet)), word)
+            if report.sites and all(len(result.up_yield) <= 5 for result in report.sites):
+                break
+    for result in report.sites:
+        assert result.down_in_grammar == recognize(grammar, result.down_yield)
+        assert result.up_in_grammar == recognize(grammar, result.up_yield)
